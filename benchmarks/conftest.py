@@ -6,7 +6,16 @@ times the dominant computation with pytest-benchmark.  Full-scale sweeps
 live in ``repro.experiments`` (run them via ``python -m``).
 """
 
+import pathlib
+import sys
+
 import pytest
+
+# The core-kernel benches time the test-side reference solvers
+# (``tests/routing/flow_oracle.py``), so the repo root must be importable.
+REPO_ROOT = str(pathlib.Path(__file__).resolve().parent.parent)
+if REPO_ROOT not in sys.path:
+    sys.path.insert(0, REPO_ROOT)
 
 
 def pytest_collection_modifyitems(items):

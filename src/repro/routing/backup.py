@@ -15,12 +15,12 @@ at least one precomputed alternative intact.  The MAC's in-cycle failover
 (:mod:`repro.core.online`) re-issues pending requests along these paths in
 the very next slot instead of waiting for the boundary repair.
 
-The computation runs on the same node-split construction the min-max solver
-uses, with **unit** through-capacities so max-flow value = maximum number of
-interior-node-disjoint paths (Menger's theorem).  One network is built per
-cluster and reused across sensors via the warm-start machinery of
+The computation runs on the min-max solver's node-split builder and unit
+path walk, with **unit** through-capacities so max-flow value = maximum
+number of interior-node-disjoint paths (Menger's theorem).  One network is
+built per cluster and reused across sensors via the warm-start machinery of
 :class:`~repro.routing.maxflow.FlowNetwork` (``set_capacity`` +
-``reset_flow`` + Dinic), exactly like the δ/λ probe engines: construction,
+``reset_flow`` + Dinic), exactly like the δ/λ probe engine: construction,
 not augmentation, dominates, so paying it once per cluster matters.
 
 Disjointness is a *checked* property: :func:`repro.validate.check_backup_routes`
@@ -36,9 +36,7 @@ import numpy as np
 
 from .. import validate as _validate
 from ..obs import profile_span as _profile_span
-from ..topology.cluster import HEAD, Cluster
-from .maxflow import INF, FlowNetwork
-from .minmax import FlowSolution
+from .minmax import FlowSolution, _build_network, _UnitWalk
 from .paths import RelayingPath
 
 __all__ = ["BackupRoutes", "compute_backup_routes"]
@@ -76,95 +74,6 @@ class BackupRoutes:
         return sum(1 for paths in self.backups.values() if paths)
 
 
-def _build_unit_network(
-    cluster: Cluster,
-) -> tuple[FlowNetwork, list[int], list[int]]:
-    """The node-split network with unit through-capacities, zero sources.
-
-    Same layout as the min-max solver's: 0 = source, 1 = sink, ``2+2i`` =
-    in_i, ``3+2i`` = out_i.  Source arcs start at capacity 0; the per-sensor
-    sweep opens exactly one at a time.
-    """
-    n = cluster.n_sensors
-    net = FlowNetwork(2 + 2 * n)
-    source_edges: list[int] = []
-    through_edges: list[int] = []
-    for i in range(n):
-        source_edges.append(net.add_edge(0, 2 + 2 * i, 0))
-        through_edges.append(net.add_edge(2 + 2 * i, 3 + 2 * i, 1))
-    hears = cluster.hears
-    for i in range(n):
-        for j in np.flatnonzero(hears[:, i]):
-            net.add_edge(3 + 2 * i, 2 + 2 * int(j), INF)
-        if cluster.head_hears[i]:
-            net.add_edge(3 + 2 * i, 1, INF)
-    return net, source_edges, through_edges
-
-
-def _walk_paths(net: FlowNetwork, origin: int) -> list[RelayingPath]:
-    """Decompose the unit flow out of sensor *origin* into relaying paths.
-
-    With unit through-capacities every interior node carries at most one
-    unit, so paths fall out by walking saturated forward edges; cycles
-    (legal in a max-flow) are cancelled on sight exactly like the min-max
-    decomposition.
-    """
-    remaining: dict[int, int] = {}
-    out_by_node: dict[int, list[int]] = {}
-    for u in range(net.n_nodes):
-        for eid in net.out_edges(u):
-            f = net.edge_flow(eid)
-            if f > 0:
-                remaining[eid] = f
-                out_by_node.setdefault(u, []).append(eid)
-
-    def take_step(u: int) -> int | None:
-        for eid in out_by_node.get(u, ()):
-            if remaining.get(eid, 0) > 0:
-                return eid
-        return None
-
-    start = 2 + 2 * origin
-    paths: list[RelayingPath] = []
-    while True:
-        eid = take_step(start)
-        if eid is None:
-            break
-        # Walk one unit to the sink, cancelling any cycle met on the way.
-        while True:
-            path_nodes = [start]
-            path_edges: list[int] = []
-            seen_at: dict[int, int] = {start: 0}
-            cycled = False
-            u = start
-            while u != 1:
-                step = take_step(u)
-                if step is None:
-                    raise AssertionError(
-                        f"backup decomposition stuck at graph node {u}"
-                    )
-                v = net.edge_endpoints(step)[1]
-                if v in seen_at:
-                    for ce in path_edges[seen_at[v]:]:
-                        remaining[ce] -= 1
-                    remaining[step] -= 1
-                    cycled = True
-                    break
-                path_edges.append(step)
-                path_nodes.append(v)
-                seen_at[v] = len(path_nodes) - 1
-                u = v
-            if not cycled:
-                break
-        for ce in path_edges:
-            remaining[ce] -= 1
-        sensors_on_path = [
-            (g - 2) // 2 for g in path_nodes if g != 1 and (g - 2) % 2 == 0
-        ]
-        paths.append(tuple(sensors_on_path) + (HEAD,))
-    return paths
-
-
 def compute_backup_routes(solution: FlowSolution, k: int) -> BackupRoutes:
     """Up to *k* interior-disjoint backup paths per routed sensor.
 
@@ -191,7 +100,12 @@ def compute_backup_routes(solution: FlowSolution, k: int) -> BackupRoutes:
 
 def _compute_backup_routes(solution: FlowSolution, k: int) -> BackupRoutes:
     cluster = solution.cluster
-    net, source_edges, through_edges = _build_unit_network(cluster)
+    # Unit through-capacities, every source closed; the per-sensor sweep
+    # opens exactly one source at a time.
+    n = cluster.n_sensors
+    net, source_edges, through_edges = _build_network(
+        cluster, np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+    )
     backups: dict[int, tuple[RelayingPath, ...]] = {}
     primary_interiors: dict[int, frozenset[int]] = {}
     for sensor in sorted(solution.flow_paths):
@@ -210,7 +124,11 @@ def _compute_backup_routes(solution: FlowSolution, k: int) -> BackupRoutes:
             net.set_capacity(through_edges[node], 0)
         net.reset_flow()
         sent = net.max_flow(0, 1, method="dinic", limit=k)
-        found = _walk_paths(net, sensor) if sent > 0 else []
+        found: list[RelayingPath] = []
+        if sent > 0:
+            walk = _UnitWalk(net)
+            while (path := walk.take(sensor)) is not None:
+                found.append(path)
         # A path with an empty interior (direct head link) can absorb
         # several flow units, and nothing stops the solver from re-deriving
         # a primary path verbatim — neither duplicate is a real alternative.

@@ -60,8 +60,6 @@ class FlowNetwork:
         self._edges: list[_Edge] = []
         self._adj: list[list[int]] = [[] for _ in range(n_nodes)]
         self._forward_adj: list[list[int]] | None = None
-        self.solve_calls = 0
-        """Number of :meth:`max_flow` invocations (observability for tests)."""
 
     def add_edge(self, u: int, v: int, cap: int) -> int:
         """Add arc ``u -> v`` with capacity *cap*; returns the edge id.
@@ -99,10 +97,6 @@ class FlowNetwork:
 
     def edge_flow(self, edge_id: int) -> int:
         return self._edges[edge_id].flow
-
-    def edge_residual(self, edge_id: int) -> int:
-        e = self._edges[edge_id]
-        return e.cap - e.flow
 
     def out_edges(self, u: int) -> list[int]:
         """Ids of *forward* edges leaving u (even ids only).
@@ -189,7 +183,6 @@ class FlowNetwork:
             raise ValueError(f"method must be one of {MAXFLOW_METHODS}, got {method!r}")
         if limit is not None and limit < 0:
             raise ValueError(f"limit must be non-negative, got {limit}")
-        self.solve_calls += 1
         if limit == 0:
             return 0
         if method == "dinic":

@@ -114,21 +114,14 @@ def merge_dropped_demand(results: Iterable[RepairResult]) -> dict[int, int]:
 
 
 def repair_routing(
-    cluster: Cluster,
-    dead: set[int],
-    energy_aware: bool = False,
-    engine: str = "warm",
-    method: str | None = None,
+    cluster: Cluster, dead: set[int], energy_aware: bool = False
 ) -> RepairResult:
     """Recompute min-max-load routing with *dead* nodes excluded.
 
     *cluster* is the original (pre-fault) topology with its per-sensor
     packet demands; the repair prunes the dead nodes, zeroes the demand of
     any survivor that lost its last path (partial coverage), and solves the
-    flow on what remains.  Repairs run at duty-cycle boundaries where
-    latency matters, so the solve defaults to the warm-start engine
-    (``engine``/``method`` are forwarded to
-    :func:`~repro.routing.minmax.solve_min_max_load`).
+    flow on what remains.
     """
     with _profile_span(
         "routing.repair", histogram="routing.repair_wall_s", dead=len(dead)
@@ -145,9 +138,7 @@ def repair_routing(
             packets = pruned.packets.copy()
             packets[sorted(uncovered)] = 0
             pruned = pruned.with_packets(packets)
-        solution = solve_min_max_load(
-            pruned, energy_aware=energy_aware, engine=engine, method=method
-        )
+        solution = solve_min_max_load(pruned, energy_aware=energy_aware)
         return RepairResult(
             cluster=pruned,
             solution=solution,

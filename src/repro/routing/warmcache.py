@@ -88,23 +88,13 @@ class SolverCache:
     _backups: dict[tuple, BackupRoutes] = field(default_factory=dict)
     _oracle_memos: dict[tuple, tuple[dict, dict]] = field(default_factory=dict)
 
-    def routing_for(
-        self,
-        cluster: Cluster,
-        energy_aware: bool = False,
-        search: str = "binary",
-        engine: str = "warm",
-        method: str | None = None,
-    ) -> FlowSolution:
+    def routing_for(self, cluster: Cluster, energy_aware: bool = False) -> FlowSolution:
         """The min-max flow solution for *cluster* (solved once per topology)."""
-        key = (topology_fingerprint(cluster), energy_aware, search, engine, method)
+        key = (topology_fingerprint(cluster), energy_aware)
         sol = self._routing.get(key)
         if sol is None:
             self.stats.routing_misses += 1
-            sol = solve_min_max_load(
-                cluster, energy_aware=energy_aware, search=search,
-                engine=engine, method=method,
-            )
+            sol = solve_min_max_load(cluster, energy_aware=energy_aware)
             self._routing[key] = sol
         else:
             self.stats.routing_hits += 1

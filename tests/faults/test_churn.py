@@ -155,6 +155,7 @@ GOLDEN = {
     "static-seed0": "b04afab7ed04f4e49ff5e488fc99aa7f7bd3238916b191bcf9d7220592c6c80c",
     "static-seed3": "c0effcff8b8c560637d5810c7a2358c26fdc2425fb255b32a9b11dcd1600f3b8",
     "crash-seed3": "f4639e986445054536eda7f7e827ee57cd1e5d1d6387a80e50a08d10af751842",
+    "crash-backup1-seed3": "c1a363c8403a9ff07a58d4b53fa11d54cf0b6bbe107380bd68e9f8d636b7269d",
 }
 
 
@@ -196,6 +197,14 @@ def test_crash_plan_bit_for_bit_golden():
     plan = FaultPlan(crashes=[NodeCrash(node=1, at=20.3)])
     cfg = PollingSimConfig(n_sensors=30, n_cycles=8, seed=3, fault_plan=plan)
     assert _run_fingerprint(cfg) == GOLDEN["crash-seed3"]
+
+
+def test_crash_plan_backup_k1_bit_for_bit_golden():
+    # Relay 7 dies mid-cycle and in-cycle failover re-issues its requests
+    # over the k=1 backup paths, so the backup bundles shape the energies.
+    plan = FaultPlan(crashes=[NodeCrash(node=7, at=20.3)])
+    cfg = PollingSimConfig(n_sensors=30, n_cycles=8, seed=3, fault_plan=plan, backup_k=1)
+    assert _run_fingerprint(cfg) == GOLDEN["crash-backup1-seed3"]
 
 
 def test_fig2_fig4_bit_for_bit_golden():

@@ -8,6 +8,8 @@ from repro.routing import RoutingInfeasible, solve_min_max_load
 from repro.routing.paths import validate_path
 from repro.topology import HEAD, Cluster, uniform_square
 
+from .flow_oracle import cold_feasible, linear_search_solve
+
 
 def test_fig2_balances_loads(fig2_cluster):
     sol = solve_min_max_load(fig2_cluster)
@@ -48,8 +50,8 @@ def test_linear_and_binary_search_agree():
     for seed in range(4):
         dep = uniform_square(10, seed=seed)
         c = Cluster.from_deployment(dep)
-        a = solve_min_max_load(c, search="binary")
-        b = solve_min_max_load(c, search="linear")
+        a = solve_min_max_load(c)
+        b = linear_search_solve(c)
         assert a.max_load == b.max_load
 
 
@@ -86,11 +88,8 @@ def test_max_load_is_truly_minimal():
     c = Cluster.from_deployment(dep)
     sol = solve_min_max_load(c)
     if sol.max_load > 1:
-        from repro.routing.minmax import _build_network
-
         caps = np.full(9, sol.max_load - 1, dtype=np.int64)
-        net, _, _ = _build_network(c, caps)
-        assert net.max_flow(0, 1) < c.total_packets
+        assert cold_feasible(c, caps) is None
 
 
 def test_zero_packets_trivial():
@@ -141,11 +140,6 @@ def test_splitting_sensors_detection():
     flows = sol.next_hop_flows()
     for s in sol.splitting_sensors:
         assert len(flows[s]) > 1
-
-
-def test_bad_search_mode_rejected(fig2_cluster):
-    with pytest.raises(ValueError):
-        solve_min_max_load(fig2_cluster, search="magic")
 
 
 @given(st.integers(0, 30))
