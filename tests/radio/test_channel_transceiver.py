@@ -218,3 +218,46 @@ def test_medium_validation():
             propagation=TwoRayGround(),
             frame_error_rate=1.5,
         )
+
+
+def test_retuned_listener_stays_rx_until_the_next_medium_change():
+    # set_channel refreshes no radio: a listener that retunes away mid-frame
+    # keeps drawing RX power until the air next changes (the frame's end),
+    # and the frame it tuned away from is not decoded.  The multi-cluster
+    # golden fingerprints depend on exactly this timing.
+    sim, medium, trx = make_medium([[0, 0], [20, 0]])
+    inbox = collect(trx[1])
+    trx[0].transmit(data_frame(0))
+    airtime = medium.airtime(data_frame(0))
+    states = []
+
+    def retune():
+        medium.set_channel(1, 1)
+        states.append(trx[1].state)
+
+    sim.schedule(airtime / 2, retune)
+    sim.schedule(airtime * 3 / 4, lambda: states.append(trx[1].state))
+    sim.run()
+    assert states == [RadioState.RX, RadioState.RX]
+    assert trx[1].state is RadioState.IDLE
+    assert trx[1].meter.dwell_s[RadioState.RX] == airtime
+    assert inbox == []
+
+
+def test_update_positions_mid_frame_changes_no_radio_state():
+    # Moving every node out of range mid-frame changes nobody's RX/IDLE
+    # state; only the next medium change (the frame's end) re-evaluates.
+    sim, medium, trx = make_medium([[0, 0], [20, 0], [5000, 0]])
+    trx[0].transmit(data_frame(0))
+    airtime = medium.airtime(data_frame(0))
+    states = []
+
+    def move():
+        medium.update_positions(np.array([[0.0, 0.0], [5000.0, 0.0], [20.0, 0.0]]))
+        states.append((trx[1].state, trx[2].state))
+
+    sim.schedule(airtime / 2, move)
+    sim.run()
+    assert states == [(RadioState.RX, RadioState.IDLE)]
+    assert trx[1].meter.dwell_s[RadioState.RX] == airtime
+    assert trx[2].meter.dwell_s[RadioState.RX] == 0.0
