@@ -25,6 +25,11 @@ class RadioState(Enum):
     RX = "rx"
     TX = "tx"
 
+    # Members are singletons, so identity hashing is consistent with Enum's
+    # identity equality; it skips Enum.__hash__'s Python-level hash of the
+    # name on every meter dict access (two per state change).
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class EnergyParams:

@@ -137,3 +137,26 @@ def test_energy_params_validation():
         EnergyParams(sleep_w=1.0, idle_w=0.5).validate()
     with pytest.raises(ValueError):
         EnergyParams(idle_w=-1.0).validate()
+
+
+def test_radio_state_identity_hash_keeps_meter_dicts_and_pickling():
+    import pickle
+
+    assert RadioState.__hash__ is object.__hash__
+    m = EnergyMeter(params=EnergyParams())
+    m.change_state(RadioState.RX, 1.0)
+    m.change_state(RadioState.TX, 3.0)
+    m.change_state(RadioState.SLEEP, 3.5)
+    m.finalize(4.0)
+    order = ["sleep", "idle", "rx", "tx"]
+    assert [s.value for s in m.dwell_s] == order
+    assert list(m.breakdown()) == order
+    assert m.dwell_s[RadioState.IDLE] == 1.0 and m.dwell_s[RadioState.RX] == 2.0
+    assert {RadioState("rx"): 1}[RadioState.RX] == 1
+    # Members unpickle to the same singletons, so a pickled meter's dwell
+    # table is still keyed by the live members.
+    back = pickle.loads(pickle.dumps(m))
+    assert all(a is b for a, b in zip(back.dwell_s, RadioState))
+    assert back.dwell_s == m.dwell_s and back.consumed_j == m.consumed_j
+    assert back.breakdown() == m.breakdown()
+    assert pickle.loads(pickle.dumps(RadioState.TX)) is RadioState.TX
