@@ -78,8 +78,14 @@ class RequestPool:
 
     The paper scans "according to an arbitrarily predetermined order"; we
     fix it as ascending request id, which enumerates sensors in index order
-    and a sensor's packets consecutively.  (Deeper-first or larger-first
-    orders are exposed as alternatives for the ablation benchmarks.)
+    and a sensor's packets consecutively.  (Deep-first and shallow-first
+    orders are exposed as alternatives for the ablation benchmarks; both
+    sort stably, so they keep a sensor's packets consecutive too.)
+
+    The on-line scheduler relies on a sensor's packets being consecutive
+    for speed only, not for correctness: it probes one request per run of
+    same-path requests, and any order yields the same schedule as
+    probing every request (see ``OnlinePollingScheduler._fill_slot``).
     """
 
     def __init__(self, plan: RoutingPlan, order: str = "index"):
