@@ -542,8 +542,13 @@ class PollingClusterMac:
 
     # -- public API -----------------------------------------------------------------
 
-    def start(self, n_cycles: int) -> Process:
-        self.process = Process(self.sim, self._run(n_cycles), name="polling-head")
+    def start(self, n_cycles: int) -> Process | None:
+        if self.halted:
+            # Crashed before its (token-window) start: the head never runs.
+            return None
+        self.process = Process(
+            self.sim, self._run(n_cycles), name="polling-head", owner=self
+        )
         return self.process
 
     def halt(self) -> None:

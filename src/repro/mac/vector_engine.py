@@ -36,10 +36,20 @@ per-radio power slices (one multiply + one fancy-indexed add each), with
 ``last_change`` written back just twice per slot.
 
 Slots that are *not* clean — a pending fault/wake/battery event inside the
-slot window, live transmissions already in the air, a shared multi-cluster
-medium, tracer subscribers — fall back to the scalar path for exactly that
-slot: the bank flushes to the live transceivers first, so mid-slot readers
-(battery depletion checks) always see true meters.
+slot window, live transmissions already in the air, tracer subscribers —
+fall back to the scalar path for exactly that slot: the bank flushes to the
+live transceivers first, so mid-slot readers (battery depletion checks)
+always see true meters.
+
+A cluster on a shared multi-cluster medium (``index_map``) batches its
+slots when it is **channel-isolated**: every radio of its roster is on one
+channel, no other registered radio is on that channel, and no frame from
+that channel is in the air at slot start.  Other channels' columns then
+reach the cluster as exact ``+0.0`` (and its columns reach them likewise),
+so the other clusters' frames, timers and process steps cannot change one
+float of the slot; the cleanness test skips exactly those events
+(:func:`_foreign_events`), and the geometry is read from the roster's
+``rx_power[np.ix_(im, im)]`` view (DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -49,9 +59,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .. import obs as _obs
-from ..radio.channel import ordered_sum
+from ..radio.channel import ActiveTransmission, RadioMedium, ordered_sum
 from ..radio.energy import RadioState
 from ..radio.packet import Frame, FrameType
+from ..radio.transceiver import Transceiver
+from ..sim.process import Process
 from ..sim.units import transmission_time
 from ..topology.cluster import HEAD
 
@@ -189,10 +201,12 @@ class _PollCache:
         "mask_t1",
     )
 
-    def __init__(self, rx_idx, ok_idx, coll_idx, ptab, head, n):
+    def __init__(self, rx_idx, ok_idx, coll_idx, ptab, head, n, ok_order):
         self.rx_ix = _as_index(rx_idx)
         self.ok_ix = _as_index(ok_idx)
-        self.ok_nodes = [int(x) for x in ok_idx]
+        # Decode order: the responders transmit in this order, so it is the
+        # begin order every later ordered sum follows.
+        self.ok_nodes = [int(x) for x in ok_order]
         self.coll_idx = coll_idx
         self.n_coll = len(coll_idx)
         # Power slices for the two poll-side integrations (IDLE over
@@ -232,11 +246,12 @@ class _GroupCache:
 class _GeomEntry:
     """Cross-phase cache of poll/group geometry for one listening roster.
 
-    Geometry depends only on the listening roster, the medium's
-    ``rx_power`` matrix, and its (immutable) thresholds — not on payload
-    size — so it outlives any single phase.  The entry pins the matrix it
-    was built from: mobility epochs *replace* ``rx_power`` (never mutate
-    it), so an identity check detects staleness exactly.  Channel drift is
+    Geometry depends only on the index map, the listening roster, the
+    medium's ``rx_power`` matrix, and its (immutable) thresholds — not on
+    payload size — so it outlives any single phase.  The entry pins the
+    matrix it was built from: mobility epochs *replace* ``rx_power`` (never
+    mutate it), so an identity check detects staleness exactly, and the
+    store drops every entry once the matrix changes.  Channel drift is
     irrelevant here: it retunes the Gilbert–Elliott chains, which the slot
     replay consults live per draw.
     """
@@ -275,12 +290,36 @@ class VectorPhaseEngine:
         self.loaded = False
         self.dynamic = med.frame_error_rate > 0.0 or med.link_loss is not None
         # Geometry store shared across phases (lives on the MAC), keyed by
-        # the listening-roster bytes; rebound at every bank load because
-        # fallback slots can change the roster mid-phase.
-        self._geom_store: dict[bytes, _GeomEntry] = mac._vector_geom
+        # the index map and the listening-roster bytes; rebound at every
+        # bank load because fallback slots can change the roster mid-phase.
+        self._geom_store: dict[tuple, _GeomEntry] = mac._vector_geom
         self._entry: _GeomEntry | None = None
         self._poll_cache: _PollCache | None = None
         self._group_cache: dict[tuple[int, ...], _GroupCache] = {}
+        # The local rx_power view (bank index space) and the matrix it was
+        # taken from.
+        self._rxp_src: np.ndarray | None = None
+        self._rxp: np.ndarray | None = None
+        im = self.phy.index_map
+        if im is None:
+            self._im = None
+            self._im_key = None
+            self._reg_rank = None
+            self._foreign = None
+        else:
+            self._im = np.asarray(im, dtype=np.int64)
+            self._im_key = self._im.tobytes()
+            self._mine = frozenset(int(g) for g in im)
+            self._foreign = _foreign_events(mac, self._mine)
+            self._iso_epoch: int | None = None
+            self._iso_channel: int | None = None
+            # The scalar decode visits radios in registration order, which a
+            # re-formed roster need not follow (movers append locally).
+            reg = med._reg_nodes
+            pos = np.empty(med.n_nodes, dtype=np.int64)
+            pos[reg] = np.arange(reg.size)
+            rank = pos[self._im]
+            self._reg_rank = None if bool(np.all(np.diff(rank) > 0)) else rank
         self.vector_slots = 0
         self.scalar_slots = 0
 
@@ -293,10 +332,18 @@ class VectorPhaseEngine:
         scalar path: a live transmission is already in the air, or a
         non-radio-neutral event (fault, wake, battery check, another
         process) is pending inside the slot window, boundaries included.
+        On a shared medium the test is channel isolation instead: the
+        cluster's channel is its own and quiet, and every pending event in
+        the window provably belongs to another cluster.
         """
         sim = self.sim
         t0 = sim.now
-        if not self.medium.air_quiet() or not sim.quiet_until(t0 + self.slot_time):
+        t_end = t0 + self.slot_time
+        if self._im is None:
+            clean = self.medium.air_quiet() and sim.quiet_until(t_end)
+        else:
+            clean = self._isolated_now() and sim.quiet_until(t_end, self._foreign)
+        if not clean:
             self.flush()
             self.scalar_slots += 1
             return False
@@ -308,6 +355,32 @@ class VectorPhaseEngine:
         self.vector_slots += 1
         return True
 
+    def _isolated_now(self) -> bool:
+        """Shared medium: is this cluster channel-isolated at this instant?
+
+        A mid-phase adoption needs no extra guard: it retunes the orphans
+        onto this channel, so the phase's roster is no longer isolated.
+        """
+        med = self.medium
+        if med._geometry_epoch != self._iso_epoch:
+            self._iso_epoch = med._geometry_epoch
+            self._iso_channel = _isolated_channel(med, self._im)
+        if self._iso_channel is None:
+            return False
+        # Only this roster transmits on the channel, so "a frame of ours is
+        # in the air" is "the channel is busy".
+        mine = self._mine
+        for tx in med._active:
+            if tx.sender in mine:
+                return False
+        if not self.loaded:
+            # A radio retuned onto the channel mid-reception keeps drawing
+            # RX until the air next changes; the replay assumes IDLE.
+            im = self._im
+            if bool(np.any(med.is_rx[im] & med.listening[im])):
+                return False
+        return True
+
     def flush(self) -> None:
         """Write the bank back to the live transceivers (idempotent)."""
         if self.loaded:
@@ -317,11 +390,21 @@ class VectorPhaseEngine:
     # -- cache builders ----------------------------------------------------------
 
     def _bind_caches(self) -> None:
-        key = self.bank.listening.tobytes()
-        entry = self._geom_store.get(key)
-        if entry is None or entry.rxp is not self.medium.rx_power:
-            entry = _GeomEntry(self.medium.rx_power)
-            self._geom_store[key] = entry
+        rxp = self.medium.rx_power
+        if rxp is not self._rxp_src:
+            self._rxp_src = rxp
+            im = self._im
+            self._rxp = rxp if im is None else rxp[np.ix_(im, im)]
+        store = self._geom_store
+        if store and next(iter(store.values())).rxp is not rxp:
+            # Mobility replaced the matrix: no entry built on the old one
+            # can hit again.
+            store.clear()
+        key = (self._im_key, self.bank.listening.tobytes())
+        entry = store.get(key)
+        if entry is None:
+            entry = _GeomEntry(rxp)
+            store[key] = entry
         self._entry = entry
         self._poll_cache = entry.pc
         self._group_cache = entry.groups
@@ -330,7 +413,7 @@ class VectorPhaseEngine:
         med = self.medium
         b = self.bank
         head = self.head
-        sig = med.rx_power[:, head]
+        sig = self._rxp[:, head]
         listening = b.listening.copy()
         listening[head] = False  # half-duplex: the head is the sender
         flip = listening & (sig >= med.cs_threshold)
@@ -339,13 +422,16 @@ class VectorPhaseEngine:
         # sum (integer 0), so the capture threshold is beta * (noise + 0).
         coll = audible & (sig < med.beta * (med.noise + 0))
         ok = audible & ~coll
+        ok_idx = np.nonzero(ok)[0]
+        rank = self._reg_rank
         cache = _PollCache(
             rx_idx=np.nonzero(flip)[0],
-            ok_idx=np.nonzero(ok)[0],
+            ok_idx=ok_idx,
             coll_idx=np.nonzero(coll)[0],
             ptab=b.ptab,
             head=head,
             n=len(b.transceivers),
+            ok_order=ok_idx if rank is None else ok_idx[np.argsort(rank[ok_idx])],
         )
         self._poll_cache = cache
         self._entry.pc = cache
@@ -354,7 +440,7 @@ class VectorPhaseEngine:
     def _build_group_cache(self, key: tuple[int, ...], pc: _PollCache) -> _GroupCache:
         med = self.medium
         b = self.bank
-        rxp = med.rx_power
+        rxp = self._rxp
         n = len(b.transceivers)
         smask = np.zeros(n, dtype=bool)
         sender_idx = np.array(key, dtype=np.int64)
@@ -591,36 +677,110 @@ def maybe_vector_engine(
     """A phase engine when this MAC/PHY combination supports batch slots.
 
     Returns ``None`` (pure scalar phase) when the MAC asked for the scalar
-    oracle, the PHY shares a multi-cluster medium (``index_map``), radios
-    sit on different channels, a tracer consumer needs per-event records,
-    or a garble callback is installed (S-MAC statistics) — every situation
-    where per-event fidelity is observable from outside the slot.
+    oracle, a tracer consumer needs per-event records, a garble callback is
+    installed (S-MAC statistics), or the radios' channels let per-event
+    order leak across the slot — every situation where per-event fidelity
+    is observable from outside the slot.  A single-cluster PHY must sit on
+    one channel; a PHY on a shared multi-cluster medium (``index_map``)
+    must be channel-isolated (its channel is its own, re-checked per slot)
+    on a medium whose decode draws no shared randomness and whose empty
+    channel never sounds busy (``frame_error_rate == 0``, no ``link_loss``,
+    ``cs_threshold > 0``): interleaved draws or foreign frames flipping
+    this cluster's carrier sense would break the isolation argument.
 
     Each silent fallback is counted with its reason — on
     ``mac.engine_fallbacks`` always, and as an ``engine.scalar_fallback.
     <reason>`` obs counter when telemetry is active — so a run that
-    *requested* the vector engine but ran scalar slots (every multi-cluster
-    PHY today; see DESIGN.md §12/§13) shows up as a gated eligibility
-    decision rather than masquerading as a perf regression.  The scalar
-    *request* itself (``engine="scalar"``) is not a fallback and stays
-    uncounted.
+    *requested* the vector engine but ran scalar slots (a shared-channel
+    multi-cluster field: ``token``/``uncoordinated`` mode; see DESIGN.md
+    §12/§13) shows up as a gated eligibility decision rather than
+    masquerading as a perf regression.  The scalar *request* itself
+    (``engine="scalar"``) is not a fallback and stays uncounted.
     """
     if mac.engine != "vector":
         return None
     phy = mac.phy
-    if phy.index_map is not None:
-        return _scalar_fallback(mac, "index_map")
     med = phy.medium
+    shared = phy.index_map is not None
+    if shared and (
+        med.frame_error_rate > 0.0
+        or med.link_loss is not None
+        or med.cs_threshold <= 0.0
+    ):
+        return _scalar_fallback(mac, "index_map")
     tracer = med.tracer
     if tracer._subs or tracer._all_subs or tracer.keep_records:
         return _scalar_fallback(mac, "tracer")
-    ch = med.channels
-    if ch.size and bool(np.any(ch != ch[0])):
-        return _scalar_fallback(mac, "channels")
+    if shared:
+        if _isolated_channel(med, np.asarray(phy.index_map, dtype=np.int64)) is None:
+            return _scalar_fallback(mac, "channels")
+    else:
+        ch = med.channels
+        if ch.size and bool(np.any(ch != ch[0])):
+            return _scalar_fallback(mac, "channels")
     for trx in phy.transceivers:
         if trx._garble_callback is not None:
             return _scalar_fallback(mac, "garble_callback")
     return VectorPhaseEngine(mac, payload_bytes)
+
+
+def _isolated_channel(medium: RadioMedium, im: np.ndarray) -> int | None:
+    """The channel the radios *im* hold alone on *medium*, else ``None``.
+
+    Every radio of *im* must be on one channel and no other registered
+    radio on it.
+    """
+    ch = medium.channels
+    c = ch[im[0]]
+    if bool(np.any(ch[im] != c)):
+        return None
+    reg = medium._reg_nodes
+    others = np.zeros(medium.n_nodes, dtype=bool)
+    others[reg] = ch[reg] == c
+    others[im] = False
+    return None if bool(others.any()) else int(c)
+
+
+def _foreign_events(mac: "PollingClusterMac", mine: frozenset[int]):
+    """``foreign(handle)``: True when a pending event provably cannot touch
+    the channel-isolated radios *mine* (global medium indices) of *mac*.
+
+    An event's radio footprint comes from its callback's bound object:
+
+    * a :class:`Transceiver` (wake, stun end, tx end) → its node;
+    * the medium ending a frame → that frame's sender;
+    * a sensor agent (a scheduled response) → its radio's node;
+    * a :class:`Process` owned by another polling MAC → that MAC's current
+      roster.
+
+    The event is foreign when its footprint misses *mine*.  Anything else —
+    coordinators, mobility, fault injection, unowned processes — may touch
+    the cluster and is never foreign.  A stale wake timer of a sensor that
+    was handed in is bound to its radio, so it still counts as ours.
+    """
+    from .pollmac import PollingClusterMac, PollingSensorAgent
+
+    def foreign(handle) -> bool:
+        obj = getattr(handle.callback, "__self__", None)
+        if isinstance(obj, Transceiver):
+            return obj.node not in mine
+        if isinstance(obj, PollingSensorAgent):
+            return obj.trx.node not in mine
+        if isinstance(obj, RadioMedium):
+            args = handle.args
+            return (
+                len(args) == 1
+                and isinstance(args[0], ActiveTransmission)
+                and args[0].sender not in mine
+            )
+        if isinstance(obj, Process):
+            owner = obj.owner
+            if isinstance(owner, PollingClusterMac) and owner is not mac:
+                im = owner.phy.index_map
+                return im is not None and mine.isdisjoint(im)
+        return False
+
+    return foreign
 
 
 def _scalar_fallback(mac: "PollingClusterMac", reason: str) -> None:

@@ -108,10 +108,11 @@ class MultiClusterConfig:
     # run-local collector to ``MultiClusterResult.telemetry``.
     telemetry: bool = False
     # Slot engine request (DESIGN.md §12).  Multi-cluster PHYs share one
-    # medium through ``index_map``, which the batch engine's eligibility
-    # gate rejects, so "vector" currently runs scalar slots here — the knob
-    # exists so the config surface matches PollingSimConfig and single-
-    # cluster fast paths engage automatically if that gate ever loosens.
+    # medium through ``index_map``; "vector" batches the slots of every
+    # channel-isolated cluster (its own channel, quiet at slot start —
+    # "channels" mode) and runs the rest scalar, counted as a "channels"
+    # fallback (token/uncoordinated modes share one channel).  "scalar"
+    # is the event-path oracle; both give bit-identical results.
     engine: str = "vector"
     # Field-level re-forming (DESIGN.md §13).  "off" (the default) arms
     # nothing: no coordinator, no scheduled events, no extra computation —

@@ -116,23 +116,29 @@ class Simulator:
         self._drop_dead_entries()
         return self._heap[0][0] if self._heap else None
 
-    def quiet_until(self, t_end: float) -> bool:
+    def quiet_until(
+        self, t_end: float, foreign: Callable[[EventHandle], bool] | None = None
+    ) -> bool:
         """True when no live event up to and including *t_end* can observe or
         mutate radio/PHY state.
 
         Callbacks whose underlying function carries a truthy
         ``_radio_neutral`` attribute (e.g. CBR ticks, which only append to
-        application queues) are ignored.  The vectorized slot engine uses
-        this to decide whether a slot window is *clean* — i.e. whether it may
-        replay the slot in closed form instead of through the event loop.
-        The scan is linear over the heap; polling workloads keep the heap
-        small (one timer per traffic source plus a few fault timers).
+        application queues) are ignored, and so is every event for which
+        *foreign* (when given) returns True — the caller's proof that the
+        event cannot touch the radios it is about to batch.  The vectorized
+        slot engine uses this to decide whether a slot window is *clean* —
+        i.e. whether it may replay the slot in closed form instead of
+        through the event loop.  The scan is linear over the heap; polling
+        workloads keep the heap small (one timer per traffic source plus a
+        few fault timers).
         """
         for time, _, handle in self._heap:
             if (
                 time <= t_end
                 and not handle._cancelled
                 and not getattr(handle.callback, "_radio_neutral", False)
+                and (foreign is None or not foreign(handle))
             ):
                 return False
         return True

@@ -153,11 +153,18 @@ class Process:
     The process starts immediately: its first step runs at the current
     simulation time via a zero-delay event (preserving FIFO fairness among
     processes spawned in the same instant).
+
+    ``owner`` (optional) names the object whose behaviour the generator
+    implements; event-driven consumers (the vector slot engine's cleanness
+    test) read it to tell whose state a pending step can touch.
     """
 
-    def __init__(self, sim: Simulator, generator: ProcessGen, name: str = ""):
+    def __init__(
+        self, sim: Simulator, generator: ProcessGen, name: str = "", owner: Any = None
+    ):
         self.sim = sim
         self.name = name or getattr(generator, "__name__", "process")
+        self.owner = owner
         self._gen = generator
         self.alive = True
         self.value: Any = None  # return value once finished

@@ -202,7 +202,8 @@ def test_bank_store_republishes_listen_and_rx_state_on_the_medium():
 
 
 def test_multicluster_fallbacks_counted_with_reason():
-    """index_map PHYs request vector, run scalar, and say why."""
+    """Channel-isolated clusters batch without a fallback; a field whose
+    clusters share one channel runs scalar and says why."""
     from repro import obs
     from repro.net import MultiClusterConfig, run_multicluster_simulation
 
@@ -211,14 +212,186 @@ def test_multicluster_fallbacks_counted_with_reason():
         res = run_multicluster_simulation(
             MultiClusterConfig(n_cycles=2, seed=0, engine="vector")
         )
+    assert len(set(res.channels.tolist())) == len(res.macs)
     for mac in res.macs:
-        assert mac.vector_slots == 0
-        assert set(mac.engine_fallbacks) == {"index_map"}
-        assert mac.engine_fallbacks["index_map"] > 0
-    assert "engine.scalar_fallback.index_map" in tel.metrics
-    assert tel.metrics.counter("engine.scalar_fallback.index_map").value == sum(
-        mac.engine_fallbacks["index_map"] for mac in res.macs
+        assert mac.engine_fallbacks == {}
+        assert mac.vector_slots > 0
+    assert not any(k.startswith("engine.scalar_fallback.") for k in tel.metrics.names())
+
+    for mode in ("token", "uncoordinated"):
+        tel = obs.Telemetry()
+        with obs.use(tel):
+            res = run_multicluster_simulation(
+                MultiClusterConfig(n_cycles=2, seed=0, mode=mode, engine="vector")
+            )
+        for mac in res.macs:
+            assert mac.vector_slots == 0
+            assert set(mac.engine_fallbacks) == {"channels"}
+            assert mac.engine_fallbacks["channels"] > 0
+        assert "engine.scalar_fallback.index_map" not in tel.metrics
+        assert tel.metrics.counter("engine.scalar_fallback.channels").value == sum(
+            mac.engine_fallbacks["channels"] for mac in res.macs
+        )
+
+
+def _isolated_field(**kwargs):
+    """A finished channels-mode field whose clusters each own a channel."""
+    from repro.net import MultiClusterConfig, run_multicluster_simulation
+
+    res = run_multicluster_simulation(
+        MultiClusterConfig(**{"n_cycles": 1, "seed": 0, **kwargs})
     )
+    assert len(set(res.channels.tolist())) == len(res.macs)
+    return res
+
+
+def test_cluster_sharing_its_channel_with_one_foreign_radio_falls_back():
+    from repro.mac.vector_engine import maybe_vector_engine
+
+    res = _isolated_field()
+    mac, other = res.macs[0], res.macs[1]
+    med = mac.phy.medium
+    engine = maybe_vector_engine(mac, 80)
+    assert engine is not None
+    # One radio of another cluster retunes onto this cluster's channel: the
+    # per-slot re-check turns the slot scalar, the next phase falls back.
+    med.set_channel(other.phy.index_map[0], int(med.channels[mac.phy.index_map[0]]))
+    assert engine.try_slot({}, []) is False
+    assert engine.scalar_slots == 1 and engine.vector_slots == 0
+    assert maybe_vector_engine(mac, 80) is None
+    assert mac.engine_fallbacks == {"channels": 1}
+
+
+def test_isolated_slot_needs_a_quiet_channel_and_idle_listeners():
+    from repro.mac.vector_engine import maybe_vector_engine
+    from repro.radio.channel import ActiveTransmission
+
+    res = _isolated_field()
+    mac = res.macs[0]
+    med = mac.phy.medium
+    engine = maybe_vector_engine(mac, 80)
+    assert engine._isolated_now()
+    # A frame of this roster still in the air: the channel is busy.
+    head = mac.phy.index_map[-1]
+    med._active.append(ActiveTransmission(sender=head, frame=None, start=0.0, end=1.0))
+    assert not engine._isolated_now()
+    med._active.pop()
+    # A listener retuned onto the channel mid-reception still draws RX
+    # power; the replay would integrate it as IDLE.
+    node = next(g for g in mac.phy.index_map if med.listening[g])
+    med.is_rx[node] = True
+    assert not engine._isolated_now()
+    med.is_rx[node] = False
+    assert engine._isolated_now()
+
+
+@pytest.mark.parametrize(
+    "knob, value",
+    [("frame_error_rate", 0.1), ("cs_threshold", 0.0), ("link_loss", object())],
+)
+def test_shared_medium_with_shared_randomness_or_no_carrier_floor_falls_back(knob, value):
+    from repro.mac.vector_engine import maybe_vector_engine
+
+    res = _isolated_field()
+    mac = res.macs[0]
+    setattr(mac.phy.medium, knob, value)
+    assert maybe_vector_engine(mac, 80) is None
+    assert mac.engine_fallbacks == {"index_map": 1}
+
+
+def test_stale_wake_timer_of_a_handed_in_sensor_blocks_its_new_cluster():
+    """Events are classified by the radio they touch, not by who armed
+    them: a wake timer left over from the sensor's old cluster belongs to
+    the cluster that holds the radio now."""
+    from repro.mac.vector_engine import _foreign_events
+    from repro.net import MultiClusterConfig, run_multicluster_simulation
+
+    res = run_multicluster_simulation(
+        MultiClusterConfig(n_cycles=3, seed=0, handoff="periodic", mobility_speed_mps=3.0)
+    )
+    move = next(e for e in res.handoff_events if e.state == "committed")
+    src, dst = res.macs[move.src], res.macs[move.dst]
+    trx = dst.phy.transceivers[list(dst.phy.index_map).index(move.sensor)]
+    sim = dst.sim
+    handle = sim.at(sim.now + 1e-3, trx.wake)
+    for_dst = _foreign_events(dst, frozenset(dst.phy.index_map))
+    for_src = _foreign_events(src, frozenset(src.phy.index_map))
+    assert not for_dst(handle)
+    assert for_src(handle)
+    assert not sim.quiet_until(sim.now + 1e-2, for_dst)
+    assert sim.quiet_until(sim.now + 1e-2, for_src)
+    # A process step of the destination head is foreign to the source,
+    # and an unclassifiable callback belongs to everyone.
+    step = sim.at(sim.now + 1e-3, dst.process._step, None, None)
+    assert for_src(step) and not for_dst(step)
+    step.cancel()
+    handle.cancel()
+    blind = sim.at(sim.now + 1e-3, lambda: None)
+    assert not for_src(blind) and not for_dst(blind)
+
+
+def test_geometry_store_drops_entries_of_a_replaced_rx_power():
+    """Mobility replaces rx_power each epoch; the store keeps only entries
+    pinned to the current matrix instead of one generation per epoch."""
+    from repro.faults import FaultPlan, Mobility
+    from repro.net.cluster_sim import PollingSimConfig, run_polling_simulation
+
+    res = run_polling_simulation(
+        PollingSimConfig(
+            n_sensors=12, n_cycles=5, seed=1, fault_plan=FaultPlan(mobility=Mobility(speed_mps=0.4))
+        )
+    )
+    store = res.mac._vector_geom
+    assert res.mac.vector_slots > 0 and store
+    rxp = res.phy.medium.rx_power
+    assert all(entry.rxp is rxp for entry in store.values())
+
+    res = _isolated_field(n_cycles=3, mobility_speed_mps=2.0)
+    for mac in res.macs:
+        assert all(entry.rxp is mac.phy.medium.rx_power for entry in mac._vector_geom.values())
+
+
+def test_shared_medium_decode_order_follows_registration():
+    """Responders begin in the medium's registration order, which a shared
+    medium's roster need not follow; the poll geometry mirrors it."""
+    from repro.mac.base import (
+        GROUND_SENSOR_PROPAGATION,
+        ClusterPhy,
+        geometric_oracle,
+        sensor_power_for_range,
+    )
+    from repro.mac.pollmac import PollingClusterMac
+    from repro.mac.vector_engine import maybe_vector_engine
+    from repro.radio import RadioMedium, Transceiver
+    from repro.sim import Simulator
+    from repro.sim.trace import Tracer
+    from repro.topology.cluster import Cluster
+    from repro.topology.deployment import uniform_square
+
+    dep = uniform_square(10, seed=3, side=80.0, comm_range=60.0)
+    _, discovered = geometric_oracle(Cluster.from_deployment(dep))
+    sim = Simulator()
+    n = discovered.n_sensors
+    positions = np.vstack([discovered.positions, discovered.head_position[None, :]])
+    power = sensor_power_for_range(GROUND_SENSOR_PROPAGATION, 60.0, 1e-11)
+    tx = np.full(n + 1, power)
+    tx[n] = 4.0 * power
+    medium = RadioMedium(sim, positions, tx, GROUND_SENSOR_PROPAGATION, tracer=Tracer())
+    order = list(reversed(range(n + 1)))
+    radios = {g: Transceiver(sim, medium, g) for g in order}
+    phy = ClusterPhy(
+        sim=sim, cluster=discovered, medium=medium,
+        transceivers=[radios[g] for g in range(n + 1)], tracer=medium.tracer,
+        index_map=list(range(n + 1)),
+    )
+    mac = PollingClusterMac(phy)
+    engine = maybe_vector_engine(mac, 80)
+    assert engine is not None
+    engine.bank.load()
+    engine._bind_caches()
+    nodes = engine._build_poll_cache().ok_nodes
+    assert len(nodes) > 1
+    assert nodes == sorted(nodes, reverse=True)
 
 
 def test_scalar_request_is_not_a_fallback():

@@ -147,3 +147,20 @@ def test_head_failover_run_is_deterministic():
         (e.time, e.dead_head, e.adopter, e.sensors)
         for e in b.coordinator.adoption_events
     ]
+
+
+def test_token_head_crashed_before_its_window_never_starts():
+    """A token-mode head that dies before its delayed start stays dark.
+
+    The start event was scheduled at build time; firing it on a crashed
+    head used to broadcast a wakeup from a dead radio (RadioError).
+    """
+    cfg = MultiClusterConfig(
+        n_sensors=24, n_heads=3, field_m=200.0, rate_bps=10.0,
+        cycle_length=4.0, n_cycles=2, seed=0, mode="token",
+        head_crashes=((2, 0.5),),
+    )
+    res = run_multicluster_simulation(cfg)
+    assert res.macs[2].halted
+    assert res.macs[2].cycle_stats == []
+    assert res.macs[2].packets_delivered == 0

@@ -187,3 +187,52 @@ def test_interleaved_schedule_and_cancel():
         assert sorted(fired) == expected
 
     run()
+
+
+class _Owner:
+    def tick(self):
+        pass
+
+
+def test_quiet_until_without_foreign_ignores_only_neutral_events():
+    sim = Simulator()
+
+    def neutral():
+        pass
+
+    neutral._radio_neutral = True
+    sim.at(1.0, neutral)
+    assert sim.quiet_until(2.0)
+    handle = sim.at(1.5, _Owner().tick)
+    assert not sim.quiet_until(2.0)
+    assert not sim.quiet_until(1.5)  # the window's end is inclusive
+    assert sim.quiet_until(1.4)
+    handle.cancel()
+    assert sim.quiet_until(2.0)
+
+
+def test_quiet_until_skips_foreign_events_and_blocks_the_rest():
+    sim = Simulator()
+    ours, theirs = _Owner(), _Owner()
+    asked = []
+
+    def foreign(handle):
+        asked.append(handle.time)
+        return handle.callback.__self__ is theirs
+
+    def neutral():
+        pass
+
+    neutral._radio_neutral = True
+    sim.at(0.5, neutral)
+    sim.at(1.0, theirs.tick)
+    sim.at(3.0, ours.tick)  # outside the window
+    sim.at(1.2, ours.tick).cancel()
+    assert not sim.quiet_until(2.0)
+    assert sim.quiet_until(2.0, foreign)
+    # Only live, non-neutral events inside the window are classified.
+    assert asked == [1.0]
+    sim.at(1.5, ours.tick)
+    assert not sim.quiet_until(2.0, foreign)
+    sim.at(1.7, lambda: None)  # unclassifiable: never foreign
+    assert not sim.quiet_until(2.0, lambda h: getattr(h.callback, "__self__", None) is not ours)
